@@ -81,6 +81,9 @@ class ExpansionRecord:
         rec = expand(alpha, floor, max_terms=max(1, len(obj["a"])))
         if [format_rational(a) for a in rec.partial_quotients] != obj["a"]:
             raise ValueError("stored partial quotients disagree with re-expansion")
+        for flag in ("terminated", "truncated"):
+            if obj[flag] != getattr(rec, flag):
+                raise ValueError(f"stored {flag} flag disagrees with re-expansion")
         return rec
 
 
@@ -149,10 +152,14 @@ def tail_reconstruct(prefix: Sequence[Rational], gamma: Rational) -> Fraction:
     """
     gamma = Fraction(gamma)
     states = continuants(prefix)
-    if not states:
+    return _tail_value(states[-1] if states else None, gamma)
+
+
+def _tail_value(last: Optional[ContinuantState], gamma: Fraction) -> Fraction:
+    """tail_reconstruct from the state of the prefix's last letter (None if empty)."""
+    if last is None:
         A1, A2, B1, B2 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
     else:
-        last = states[-1]
         A1, A2, B1, B2 = last.A, last.A_prev, last.B, last.B_prev
     den = gamma * B1 + B2
     if den == 0:
@@ -200,10 +207,6 @@ class IdentityReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _neg_vp_sum(word, p, upto) -> int:
-    return sum(-vp(a, p) for a in word[1:upto + 1])
-
-
 def verify_identities(rec: ExpansionRecord) -> IdentityReport:
     """Exact checks of the determinant, valuation-product, approximation,
     archimedean-growth, and record-consistency identities.
@@ -212,12 +215,23 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
     only when a_0 = 0; for a nonzero a_0 the battery checks the adjusted
     products (every extra factor is |a_0|_p), so tampered records are caught
     either way.
+
+    Linear in the record length: the continuants are computed once, every
+    valuation once, the products as prefix sums, and each tail round trip
+    reuses the continuant state of its prefix.
     """
     word = rec.partial_quotients
     if len(word) < 2:
         raise ValueError("need at least 2 partial quotients")
     p = rec.p
     states = continuants(word)
+    vA = [vp(s.A, p) for s in states]
+    vB = [vp(s.B, p) for s in states]
+    va = [vp(a, p) for a in word]
+    # neg[n] = sum_{i=1..n} -vp(a_i), i.e. -log_p prod_{i=1..n} |a_i|_p
+    neg = [0]
+    for v in va[1:]:
+        neg.append(neg[-1] - v)
     checks = []
 
     # determinant: A_n B_{n-1} - B_n A_{n-1} = (-1)^(n+1)
@@ -230,11 +244,7 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
     last = len(word) - 1
 
     # |B_n|_p = prod_{i=1..n} |a_i|_p for n >= 1 (independent of a_0)
-    bad = None
-    for s in states[1:]:
-        if -vp(s.B, p) != _neg_vp_sum(word, p, s.index):
-            bad = s.index
-            break
+    bad = next((n for n in range(1, last + 1) if -vB[n] != neg[n]), None)
     checks.append(IdentityCheck("b-valuation-product", bad is None,
                                 first_failed_index=bad))
 
@@ -242,21 +252,13 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
     # product gains the factor |a_0|_p (valid since vp(a_0) <= 0 for floor
     # images; skipped otherwise)
     if a0 == 0:
-        bad = None
-        for s in states[2:]:
-            expected = _neg_vp_sum(word, p, s.index) + vp(word[1], p)
-            if -vp(s.A, p) != expected:
-                bad = s.index
-                break
+        bad = next((n for n in range(2, last + 1)
+                    if -vA[n] != neg[n] + va[1]), None)
         checks.append(IdentityCheck("a-valuation-product", bad is None,
                                     first_failed_index=bad))
-    elif vp(a0, p) <= 0:
-        bad = None
-        for s in states[1:]:
-            expected = _neg_vp_sum(word, p, s.index) - vp(a0, p)
-            if -vp(s.A, p) != expected:
-                bad = s.index
-                break
+    elif va[0] <= 0:
+        bad = next((n for n in range(1, last + 1)
+                    if -vA[n] != neg[n] - va[0]), None)
         checks.append(IdentityCheck("a-valuation-product", bad is None,
                                     first_failed_index=bad,
                                     detail="adjusted by |a_0|_p"))
@@ -266,25 +268,15 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
                                     detail="vp(a_0) > 0: no product form"))
 
     # strict p-adic growth, and |A_n|_p <= |B_n|_p when a_0 = 0
-    bad = None
-    for prev, cur in zip(states, states[1:]):
-        growing = (vp(cur.B, p) < vp(prev.B, p)
-                   and vp(cur.A, p) < vp(prev.A, p))
-        if a0 == 0 and not (vp(cur.A, p) >= vp(cur.B, p)):
-            growing = False
-        if not growing:
-            bad = cur.index
-            break
+    bad = next((n for n in range(1, last + 1)
+                if not (vB[n] < vB[n - 1] and vA[n] < vA[n - 1])
+                or (a0 == 0 and not vA[n] >= vB[n])), None)
     checks.append(IdentityCheck("valuation-monotonicity", bad is None,
                                 first_failed_index=bad))
 
     # vp(B_n*alpha - A_n) = sum_{j<=n+1} -vp(a_j), below termination
-    bad = None
-    for s in states[:last]:
-        lhs = vp(s.B * rec.alpha - s.A, p)
-        if lhs != _neg_vp_sum(word, p, s.index + 1):
-            bad = s.index
-            break
+    bad = next((s.index for s in states[:last]
+                if vp(s.B * rec.alpha - s.A, p) != neg[s.index + 1]), None)
     if rec.terminated and states[last].B * rec.alpha - states[last].A != 0:
         bad = last
     checks.append(IdentityCheck("approximation-valuation", bad is None,
@@ -311,7 +303,7 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
         if i + 1 < len(gammas) and gammas[i + 1] != 1 / (gi - ai):
             bad, detail = i, "gamma recurrence broken"
             break
-        if tail_reconstruct(word[:i], gi) != rec.alpha:
+        if _tail_value(states[i - 1] if i else None, Fraction(gi)) != rec.alpha:
             bad, detail = i, "tail reconstruction misses alpha"
             break
     checks.append(IdentityCheck("record-consistency", bad is None,

@@ -83,7 +83,11 @@ def _emit(args, obj, text: str = None):
 def _cap_length(args) -> int:
     length = args.length
     budget = getattr(args, "budget", None)
-    return min(length, budget) if budget else length
+    if budget is None:
+        return length
+    if budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {budget}")
+    return min(length, budget)
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -268,10 +272,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a rational or a list of rationals, so may start with "-"
+_RATIONAL_OPTIONS = ("--alpha", "--letters", "--preperiod", "--period")
+
+
+def _attach_negative_values(argv):
+    """Rewrite "--alpha -3/5" as "--alpha=-3/5".
+
+    argparse reads a separate token such as "-3/5" as an unknown option,
+    because only plain negative numbers are recognised as values.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1] in _RATIONAL_OPTIONS and len(tok) > 1
+                and tok[0] == "-" and tok[1].isdigit()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

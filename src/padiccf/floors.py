@@ -18,11 +18,9 @@ from typing import Optional
 
 from .padic import (
     Rational,
-    canonical_digits,
     format_rational,
     in_z_one_over_p,
     parse_rational,
-    rational_mod,
     require_odd_prime,
     vp,
 )
@@ -36,6 +34,23 @@ __all__ = [
 ]
 
 
+def _window(q: Rational, p: int):
+    """(r, p^k) with k = max(-vp(q), 0) and r = q*p^k mod p^(k+1) in [0, p^(k+1)).
+
+    r/p^k is the sum of the Hensel digits of q at positions -k..0, so one
+    modular inverse replaces the digit-by-digit extraction.  For vp(q) >= 1
+    (q = 0 included) r is 0.
+    """
+    q = Fraction(q)
+    num, den = q.numerator, q.denominator
+    pk = 1
+    while den % p == 0:
+        den //= p
+        pk *= p
+    m = pk * p
+    return num * pow(den, -1, m) % m, pk
+
+
 def ruban_floor(q: Rational, p: int) -> Fraction:
     """Sum of the Hensel digits of q at positions min(vp(q), 0) .. 0.
 
@@ -43,38 +58,23 @@ def ruban_floor(q: Rational, p: int) -> Fraction:
     extension of the digit formula compatible with s(0) = 0 and constancy on
     unit balls.
     """
-    q = Fraction(q)
-    if q == 0 or vp(q, p) >= 1:
-        return Fraction(0)
-    lo = min(vp(q, p), 0)
-    digits = canonical_digits(q, p, lo, 0)
-    return sum((d * Fraction(p) ** n for n, d in zip(range(lo, 1), digits)),
-               Fraction(0))
+    r, pk = _window(q, p)
+    return Fraction(r, pk)
 
 
 def browkin_floor(q: Rational, p: int) -> Fraction:
     """Like :func:`ruban_floor` but with balanced digits.
 
-    Each digit is taken in [-(p-1)/2, (p-1)/2]; carries are recomputed
-    exactly after every subtraction, so the remainder keeps gaining
-    valuation one position at a time.
+    Each digit is taken in [-(p-1)/2, (p-1)/2].  With k+1 such digits the
+    scaled sum r = s*p^k runs over the integers of (-p^(k+1)/2, p^(k+1)/2),
+    one per residue class mod p^(k+1), so the floor is the balanced lift of
+    the Ruban residue.
     """
-    q = Fraction(q)
-    if q == 0 or vp(q, p) >= 1:
-        return Fraction(0)
-    lo = min(vp(q, p), 0)
-    r = q
-    s = Fraction(0)
-    for n in range(lo, 1):
-        if r == 0 or vp(r, p) > n:
-            continue
-        t = rational_mod(r / Fraction(p) ** n, p)
-        if t > (p - 1) // 2:
-            t -= p
-        term = t * Fraction(p) ** n
-        s += term
-        r -= term
-    return s
+    r, pk = _window(q, p)
+    m = pk * p
+    if r > m // 2:
+        r -= m
+    return Fraction(r, pk)
 
 
 _BUILTINS = {"ruban": ruban_floor, "browkin": browkin_floor}

@@ -224,3 +224,16 @@ class TestJson:
         back = ExpansionRecord.from_json(obj)
         assert back.partial_quotients == rec.partial_quotients
         assert back.alpha == rec.alpha
+
+    @pytest.mark.parametrize("kind,alpha", [("browkin", F(-3)), ("ruban", F(-3))])
+    def test_flags_must_match_re_expansion(self, kind, alpha):
+        obj = expand(alpha, FloorFunction(kind, 3), 5).to_json()
+        for flag in ("terminated", "truncated"):
+            tampered = {**obj, flag: not obj[flag]}
+            with pytest.raises(ValueError, match=f"stored {flag} flag"):
+                ExpansionRecord.from_json(tampered)
+        swapped = {**obj, "terminated": obj["truncated"],
+                   "truncated": obj["terminated"]}
+        with pytest.raises(ValueError):
+            ExpansionRecord.from_json(swapped)
+        assert ExpansionRecord.from_json(obj).to_json() == obj

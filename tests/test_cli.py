@@ -38,6 +38,15 @@ class TestExpand:
                          "--alpha", "1/2")
         assert code == 2
 
+    @pytest.mark.parametrize("alpha", ["-3/5", "-156927/177047", "-3"])
+    def test_negative_alpha_as_separate_token(self, capsys, alpha):
+        base = ["expand", "--p", "3", "--floor", "ruban", "--max-terms", "8"]
+        code1, out1, err1 = run(capsys, *base, "--alpha", alpha)
+        code2, out2, _ = run(capsys, *base, f"--alpha={alpha}")
+        assert (code1, err1) == (0, "")
+        assert code2 == 0 and out1 == out2
+        assert json.loads(out1)["alpha"] == alpha
+
 
 class TestEval:
     def test_value(self, capsys):
@@ -48,6 +57,11 @@ class TestEval:
     def test_malformed_word(self, capsys):
         code, _, _ = run(capsys, "eval", "--letters", "1,0")
         assert code == 2
+
+    def test_negative_first_letter(self, capsys):
+        code, out, _ = run(capsys, "eval", "--letters", "-1/3,2")
+        assert code == 0
+        assert json.loads(out) == {"value": "1/6"}
 
 
 class TestWord:
@@ -106,6 +120,17 @@ class TestDetect:
         assert code == 0
         assert json.loads(out)["prefix_length"] == 100
 
+    @pytest.mark.parametrize("command", ["detect", "complexity", "certify"])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_2(self, capsys, command, budget):
+        extra = {"detect": ["--kind", "spade"], "complexity": ["--n", "2"],
+                 "certify": ["--p", "3", "--floor", "ruban",
+                             "--map", "a=8/3,b=5/3"]}[command]
+        code, out, err = run(capsys, command, "--gen", "thue_morse",
+                             "--length", "64", "--budget", budget, *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: --budget must be >= 1, got {budget}\n"
+
 
 class TestQuadratic:
     def test_certificate_with_root_check(self, capsys):
@@ -117,6 +142,17 @@ class TestQuadratic:
         assert (obj["a"], obj["b"], obj["c"]) == ("-1", "8/3", "1")
         assert obj["root_check"]["valuation"] == "inf"
         assert obj["root_check"]["exact_root"] == "-3"
+
+    def test_negative_preperiod_and_period(self, capsys):
+        code, _, err = run(capsys, "quadratic", "--preperiod", "-1",
+                           "--period", "-8/3")
+        assert code == 2
+        assert err == "error: preperiod must begin with 0\n"
+        code1, out1, _ = run(capsys, "quadratic", "--preperiod", "0,-1/3",
+                             "--period", "-8/3")
+        code2, out2, _ = run(capsys, "quadratic", "--preperiod=0,-1/3",
+                             "--period=-8/3")
+        assert code1 == code2 == 0 and out1 == out2
 
 
 class TestFloorValidate:
