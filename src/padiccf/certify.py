@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import combinatorics as comb
-from .cf import ExpansionRecord, continuants
+from .cf import ExpansionRecord, integer_continuants
 from .floors import FloorFunction
-from .padic import Rational, format_rational, is_odd_prime, require_odd_prime, vp
+from .padic import (INFINITY, Rational, format_rational, is_odd_prime,
+                    require_odd_prime, vp)
 from .words import LetterStream
 
 __all__ = [
@@ -49,7 +50,10 @@ DISCLAIMER = (
 def floor_log_exact(p: int, C: Fraction, t: Fraction) -> int:
     """Largest k >= 0 with p^k <= C^t, for rational C > 1 and t > 0.
 
-    p^k <= C^(tn/td)  <=>  p^(k*td) * C.den^tn <= C.num^tn, all integers.
+    p^k <= C^(tn/td)  <=>  p^(k*td) <= C.num^tn / C.den^tn, and since the
+    left side is an integer that is p^(k*td) <= q with q the floor of the
+    right side.  So k = e // td with e the largest exponent p^e <= q, found
+    from a float estimate of log_p(q) that exact powers of p then correct.
     """
     C, t = Fraction(C), Fraction(t)
     if C <= 1:
@@ -57,12 +61,16 @@ def floor_log_exact(p: int, C: Fraction, t: Fraction) -> int:
     if t <= 0:
         raise ValueError("t must be > 0")
     tn, td = t.numerator, t.denominator
-    rhs = C.numerator ** tn
-    lhs_den = C.denominator ** tn
-    k = 0
-    while p ** ((k + 1) * td) * lhs_den <= rhs:
-        k += 1
-    return k
+    q = C.numerator ** tn // C.denominator ** tn  # >= 1, as C^t > 1
+    e = max(0, int(math.log(q, p)) - 1)
+    x = p ** e
+    while x * p <= q:
+        x *= p
+        e += 1
+    while x > q:
+        x //= p
+        e -= 1
+    return e // td
 
 
 def required_k(variant: str, p: int, c: Rational, C_inf: Rational) -> int:
@@ -93,6 +101,52 @@ def required_k(variant: str, p: int, c: Rational, C_inf: Rational) -> int:
 def _ceil_isqrt(n: int) -> int:
     r = math.isqrt(n)
     return r if r * r == n else r + 1
+
+
+def _ceil_root(N: int, D: int, n: int) -> int:
+    """Smallest x >= 1 with x^n * D >= N, for integers N, D > 0 and n >= 1.
+
+    A float estimate of (N/D)^(1/n) only seeds the search: exact powers
+    bracket the answer by galloping from the seed, then bisect.
+    """
+    def fits(x):
+        return x ** n * D >= N
+
+    e = (math.log2(N) - math.log2(D)) / n
+    shift = max(0, int(e) - 60)
+    hi = max(1, int(2.0 ** (e - shift)) << shift)
+    step = 1
+    if fits(hi):
+        lo = hi - 1
+        while lo >= 1 and fits(lo):
+            hi, lo, step = lo, lo - step, 2 * step
+        lo = max(lo, 0)  # 0 never fits, as N > 0
+    else:
+        lo, hi = hi, hi + 1
+        while not fits(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _neg_valuations(letters: Sequence[Fraction], p: int) -> List[int]:
+    """-vp(a) for every letter, one valuation per distinct letter."""
+    table = {}
+    out = []
+    for a in letters:
+        key = (a.numerator, a.denominator)
+        v = table.get(key)
+        if v is None:
+            if a == 0:
+                raise ValueError("partial quotients after a_0 must be nonzero")
+            v = table[key] = -vp(a, p)
+        out.append(v)
+    return out
 
 
 @dataclass
@@ -130,57 +184,72 @@ def growth_bounds(source: Union[ExpansionRecord, Sequence[Rational]],
 
     A plain list is treated as the tail a_1 a_2 ... with a_0 = 0 prepended,
     which is the setting where the closed-form bound applies.
+
+    The observed constant is the smallest num with max(|A_n|, |B_n|) <=
+    (num/grid)^n for every n >= 1, that is max(|Â_n|, |B̂_n|)·grid^n <=
+    num^n·D_n over the integer core, found in one pass: best and its powers
+    only grow, so a state that already fits costs one comparison, and one
+    that does not raises best to its exact ceiling n-th root.
     """
     if isinstance(source, ExpansionRecord):
-        word = [Fraction(a) for a in source.partial_quotients]
+        word = source.partial_quotients
         p = source.p
     else:
-        word = [Fraction(0)] + [Fraction(a) for a in source]
+        word = [0, *source]
+    word = [a if type(a) is Fraction else Fraction(a) for a in word]
     if p is None:
         raise ValueError("p required when passing a raw letter list")
     if len(word) < 2:
         raise ValueError("need at least 2 partial quotients")
-    states = continuants(word)[1:]  # n >= 1
+    neg = _neg_valuations(word[1:], p)
+    Ah, Bh, D = integer_continuants(word)
 
-    tops = [max(abs(s.A), abs(s.B)) for s in states]
-
-    def fits(num: int) -> bool:
-        return all(t.numerator * grid ** s.index <= num ** s.index * t.denominator
-                   for s, t in zip(states, tops))
-
-    # binary search the smallest num with max(|A_n|,|B_n|) <= (num/grid)^n;
-    # the first guess comes from bit lengths so huge continuants never touch
-    # a float
-    lo = grid  # C = 1
-    guess_log2 = max((t.numerator.bit_length() - t.denominator.bit_length())
-                     / s.index for s, t in zip(states, tops))
-    hi = max(lo + 1, int(2.0 ** min(guess_log2, 40.0) * grid) + 2)
-    while not fits(hi):
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    observed = Fraction(lo, grid)
+    best = grid  # C = 1
+    best_pow = grid_pow = 1
+    for n in range(1, len(word)):
+        best_pow *= best
+        grid_pow *= grid
+        top = max(abs(Ah[n]), abs(Bh[n]))
+        if (top.bit_length() + grid_pow.bit_length()
+                < best_pow.bit_length() + D[n].bit_length() - 1):
+            continue  # the product's bit length already settles it
+        need = top * grid_pow
+        if need > best_pow * D[n]:
+            best = _ceil_root(need, D[n], n)
+            best_pow = best ** n
+    observed = Fraction(best, grid)
 
     closed = None
     T = None
     if word[0] == 0:
-        T = max(abs(a) for a in word[1:])
+        T = max(map(abs, word[1:]))
         m = T.numerator ** 2 + 4 * T.denominator ** 2
         surd_ub = Fraction(_ceil_isqrt(m * grid * grid), T.denominator * grid)
         closed = min((T + surd_ub) / 2, T + 1)
 
-    acc = 0
-    exponent = Fraction(0)
-    for i, a in enumerate(word[1:], start=1):
-        acc += -vp(a, p)
-        exponent = max(exponent, Fraction(acc, i))
+    # c_p_exponent = max_i (sum_{j<=i} -vp(a_j)) / i, compared as integers
+    acc, num, den = 0, 0, 1
+    for i, v in enumerate(neg, start=1):
+        acc += v
+        if acc * den > num * i:
+            num, den = acc, i
 
-    return GrowthBounds(observed, closed, T, exponent,
-                        (1, states[-1].index))
+    return GrowthBounds(observed, closed, T, Fraction(num, den),
+                        (1, len(word) - 1))
+
+
+def _approx_valuation(core, n: int, p: int):
+    """vp(B_n·x - A_n) for x = A_L/B_L, the core's last convergent.
+
+    B_n·x - A_n = (B̂_n·Â_L - Â_n·B̂_L) / (D_n·B̂_L), so the valuation is
+    vp(B̂_n·Â_L - Â_n·B̂_L) - vp(D_n) - vp(B̂_L), or INFINITY when the
+    difference vanishes.
+    """
+    Ah, Bh, D = core
+    diff = Bh[n] * Ah[-1] - Ah[n] * Bh[-1]
+    if diff == 0:
+        return INFINITY
+    return vp(diff, p) - vp(D[n], p) - vp(Bh[-1], p)
 
 
 # -- corollary checkers ----------------------------------------------------------
@@ -348,8 +417,7 @@ def certify(p: int, floor: FloorFunction, stream: LetterStream, length: int,
             condition_hint: Optional[str] = None,
             c_hint: Optional[Rational] = None,
             c_max: Rational = Fraction(2),
-            min_witnesses: int = 3,
-            workers: Optional[int] = None) -> Certificate:
+            min_witnesses: int = 3) -> Certificate:
     """Assemble hypothesis evidence for the word prefix of the given length.
 
     The word's letters must be valid partial quotients arising from the
@@ -372,8 +440,8 @@ def certify(p: int, floor: FloorFunction, stream: LetterStream, length: int,
 
     kinds = [condition_hint] if condition_hint else ["spade", "club"]
     c_cap = Fraction(c_hint) if c_hint is not None else Fraction(c_max)
-    detections = {k: comb.detect(k, symbols, c_cap, min_witnesses,
-                                 workers=workers) for k in kinds}
+    detections = {k: comb.detect(k, symbols, c_cap, min_witnesses)
+                  for k in kinds}
     chosen = max(detections,
                  key=lambda k: (len(detections[k].witnesses),
                                 detections[k].largest_u))
@@ -384,17 +452,15 @@ def certify(p: int, floor: FloorFunction, stream: LetterStream, length: int,
     growth = growth_bounds(values, p=p)
     C_inf = growth.c_inf_for_all_n
     k = required_k(chosen, p, c_achieved, C_inf)
-    min_exp = min(-vp(v, p) for v in values)
+    neg = _neg_valuations(values, p)  # -vp(a_1), -vp(a_2), ...
+    min_exp = min(neg)
 
     spots = []
-    word = [Fraction(0)] + values
-    states = continuants(word)
+    core = integer_continuants([0] + values)
     target_ns = [n for n in (4, 8, 16, 32) if n <= length - 2]
-    x_full = states[-1].A / states[-1].B
     for n in target_ns:
-        s = states[n]
-        expected = sum(-vp(a, p) for a in word[1:n + 2])
-        got = vp(s.B * x_full - s.A, p)
+        expected = sum(neg[:n + 1])  # -vp(a_1) - ... - vp(a_{n+1})
+        got = _approx_valuation(core, n, p)
         spots.append({"n": n, "expected": expected,
                       "valuation": got, "passed": got == expected})
 

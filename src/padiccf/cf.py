@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .floors import FloorFunction
 from .padic import Rational, format_rational, parse_rational, vp
@@ -26,6 +26,7 @@ __all__ = [
     "continuants",
     "eval_cf",
     "expand",
+    "integer_continuants",
     "tail_reconstruct",
     "verify_identities",
 ]
@@ -77,6 +78,9 @@ class ExpansionRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "ExpansionRecord":
         floor = FloorFunction.from_json(obj["floor"])
+        if obj["p"] != floor.p:
+            raise ValueError(f"stored p = {obj['p']} disagrees with the "
+                             f"floor's p = {floor.p}")
         alpha = parse_rational(obj["alpha"])
         rec = expand(alpha, floor, max_terms=max(1, len(obj["a"])))
         if [format_rational(a) for a in rec.partial_quotients] != obj["a"]:
@@ -108,18 +112,45 @@ def expand(alpha: Rational, floor: FloorFunction, max_terms: int) -> ExpansionRe
                            terminated, not terminated)
 
 
+def integer_continuants(
+        word: Sequence[Rational]) -> Tuple[List[int], List[int], List[int]]:
+    """The integer continuant core: lists (Â_n), (B̂_n), (D_n) for a_0..a_n.
+
+    Writing each letter in lowest terms as a_n = m_n/d_n, D_n = d_0···d_n
+    and Â_n = D_n·A_n, B̂_n = D_n·B_n are integers obeying
+
+        Â_n = m_n·Â_{n-1} + d_n·d_{n-1}·Â_{n-2}    (the same for B̂)
+
+    from Â_{-2}=0, Â_{-1}=1, B̂_{-2}=1, B̂_{-1}=0 and d_{-1}=1, so no step
+    takes a gcd.  A_n/B_n = Â_n/B̂_n, since both share the scale D_n.
+    """
+    Ah, Bh, D = [], [], []
+    a2, a1, b2, b1 = 0, 1, 1, 0
+    d1 = Dn = 1
+    for an in word:
+        if not isinstance(an, Fraction):
+            an = Fraction(an)
+        m, d = an.numerator, an.denominator
+        dd = d * d1
+        a2, a1 = a1, m * a1 + dd * a2
+        b2, b1 = b1, m * b1 + dd * b2
+        Dn *= d
+        d1 = d
+        Ah.append(a1)
+        Bh.append(b1)
+        D.append(Dn)
+    return Ah, Bh, D
+
+
 def continuants(word: Sequence[Rational]) -> List[ContinuantState]:
-    """Continuant states for a_0..a_n with A_{-1}=1, A_0=a_0, B_{-1}=0, B_0=1."""
+    """Continuant states for a_0..a_n with A_{-1}=1, A_0=a_0, B_{-1}=0, B_0=1,
+    read off the integer core."""
     out = []
-    A_pp, A_p = Fraction(0), Fraction(1)
-    B_pp, B_p = Fraction(1), Fraction(0)
-    for n, an in enumerate(word):
-        an = Fraction(an)
-        A_n = an * A_p + A_pp
-        B_n = an * B_p + B_pp
+    A_p, B_p = Fraction(1), Fraction(0)
+    for n, (a, b, d) in enumerate(zip(*integer_continuants(word))):
+        A_n, B_n = Fraction(a, d), Fraction(b, d)
         out.append(ContinuantState(n, A_p, A_n, B_p, B_n))
-        A_pp, A_p = A_p, A_n
-        B_pp, B_p = B_p, B_n
+        A_p, B_p = A_n, B_n
     return out
 
 
@@ -133,14 +164,14 @@ def continuant_matrix(word: Sequence[Rational]):
 
 
 def eval_cf(word: Sequence[Rational]) -> Fraction:
-    """Exact value A_n/B_n of a finite word, via the forward recurrences."""
+    """Exact value A_n/B_n = Â_n/B̂_n of a finite word, from the integer core."""
     if not word:
         raise MalformedWordError("empty word has no value")
-    last = continuants(word)[-1]
-    if last.B == 0:
+    Ah, Bh, _ = integer_continuants(word)
+    if Bh[-1] == 0:
         raise MalformedWordError(
             f"word {[format_rational(Fraction(a)) for a in word]} has B_n = 0")
-    return last.A / last.B
+    return Fraction(Ah[-1], Bh[-1])
 
 
 def tail_reconstruct(prefix: Sequence[Rational], gamma: Rational) -> Fraction:

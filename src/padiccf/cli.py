@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -27,13 +26,6 @@ class InvariantViolation(RuntimeError):
     def __init__(self, report):
         super().__init__("internal invariant violation")
         self.report = report
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PADIC_CF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_floor(args) -> FloorFunction:
@@ -136,7 +128,7 @@ def _cmd_detect(args):
     spec = _load_word(args)
     prefix = spec.stream().prefix(_cap_length(args))
     result = comb.detect(args.kind, prefix, parse_rational(args.c_max),
-                         args.min_witnesses, workers=_workers())
+                         args.min_witnesses)
     text = "\n".join(f"u={w.u} w={w.w} v={w.v}" for w in result.witnesses)
     _emit(args, result.to_json(), text or "(no witnesses)")
 
@@ -175,8 +167,7 @@ def _cmd_certify(args):
         condition_hint=args.kind,
         c_hint=parse_rational(args.c) if args.c else None,
         c_max=parse_rational(args.c_max),
-        min_witnesses=args.min_witnesses,
-        workers=_workers())
+        min_witnesses=args.min_witnesses)
     _emit(args, certificate.to_json(),
           f"verdict: {certificate.verdict} (k = {certificate.required_k}, "
           f"min exponent = {certificate.min_letter_exponent})")
@@ -276,15 +267,35 @@ def build_parser() -> argparse.ArgumentParser:
 _RATIONAL_OPTIONS = ("--alpha", "--letters", "--preperiod", "--period")
 
 
-def _attach_negative_values(argv):
-    """Rewrite "--alpha -3/5" as "--alpha=-3/5".
+def _option_names(parser):
+    """Every option string of the parser and of its subcommands."""
+    names = set()
+    for action in parser._actions:
+        names.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sp in action.choices.values():
+                names |= _option_names(sp)
+    return names
+
+
+def _rational_option(tok, options):
+    """Whether tok names a rational option in full or as an unambiguous
+    prefix, argparse's abbreviation rule, without naming another option."""
+    if tok in _RATIONAL_OPTIONS:
+        return True
+    return (tok.startswith("--") and tok not in options
+            and sum(o.startswith(tok) for o in _RATIONAL_OPTIONS) == 1)
+
+
+def _attach_negative_values(argv, options):
+    """Rewrite "--alpha -3/5" (or "--alp -3/5") as "--alpha=-3/5".
 
     argparse reads a separate token such as "-3/5" as an unknown option,
     because only plain negative numbers are recognised as values.
     """
     out = []
     for tok in argv:
-        if (out and out[-1] in _RATIONAL_OPTIONS and len(tok) > 1
+        if (out and _rational_option(out[-1], options) and len(tok) > 1
                 and tok[0] == "-" and tok[1].isdigit()):
             out[-1] += "=" + tok
         else:
@@ -296,7 +307,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = parser.parse_args(
+            _attach_negative_values(argv, _option_names(parser)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -15,9 +15,7 @@ cannot leak into results.  Both return identical profiles.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -206,9 +204,11 @@ def _best_pair_hashed(kind, seq, u, c_max, hashes: _Hashes):
     groups: Dict[int, List[int]] = {}
     for j in range(u, j_hi_all + 1):
         groups.setdefault(hashes.fwd(j, u), []).append(j)
-    best = None  # (ratio, w, v)
+    # candidates compare by (max(w, v), w, v): u is fixed, so this is the
+    # order of (max(w, v)/u, w, v)
+    best = None
     for i in range(i_hi + 1):
-        if best is not None and best[0] <= Fraction(i, u):
+        if best is not None and best[0] <= i:
             break  # later i cannot beat the current minimum
         h = hashes.fwd(i, u) if kind == "spade" else hashes.rev(i, u)
         js = groups.get(h)
@@ -220,7 +220,7 @@ def _best_pair_hashed(kind, seq, u, c_max, hashes: _Hashes):
             j = js[k]
             w, v = i, j - i - u
             if check_witness(kind, seq, w, u, v):  # kill hash collisions
-                cand = (Fraction(max(w, v), u), w, v)
+                cand = (max(w, v), w, v)
                 if best is None or cand < best:
                     best = cand
                 break
@@ -231,8 +231,7 @@ def _best_pair_hashed(kind, seq, u, c_max, hashes: _Hashes):
 
 
 def detect(kind: str, prefix: Sequence, c_max: Rational,
-           min_witnesses: int = 1, method: str = "hashed",
-           workers: Optional[int] = None) -> DetectionResult:
+           min_witnesses: int = 1, method: str = "hashed") -> DetectionResult:
     """Find, for every block length u, the best admissible (w, v) pair.
 
     Returns the full exact profile plus the witness family (one witness per
@@ -253,23 +252,12 @@ def detect(kind: str, prefix: Sequence, c_max: Rational,
     L = len(seq)
     hashes = _Hashes(seq) if method == "hashed" else None
 
-    def solve(u):
-        if method == "hashed":
-            return u, _best_pair_hashed(kind, seq, u, c_max, hashes)
-        return u, _best_pair_naive(kind, seq, u, c_max)
-
-    us = range(1, L // 2 + 1)
-    if workers is None:
-        workers = int(os.environ.get("PADIC_CF_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = dict(pool.map(solve, us))
-    else:
-        solved = dict(map(solve, us))
-
     profile, witnesses = [], []
-    for u in us:
-        pair = solved[u]
+    for u in range(1, L // 2 + 1):
+        if hashes is not None:
+            pair = _best_pair_hashed(kind, seq, u, c_max, hashes)
+        else:
+            pair = _best_pair_naive(kind, seq, u, c_max)
         if pair is None:
             profile.append(CProfileEntry(u, None, None))
             continue

@@ -84,6 +84,10 @@ class TestGrowthBounds:
         assert gb.c_p_exponent == 1
         assert gb.c_inf_for_all_n == 3  # T = 8/3: (T + sqrt(T^2+4))/2 = 3
 
+    def test_zero_letter_after_a0_rejected(self):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            growth_bounds([F(8, 3), F(0), F(5, 3)], p=3)
+
 
 class TestCorollaries:
     def test_browkin_ruban_exponent_requirements(self):

@@ -237,3 +237,8 @@ class TestJson:
         with pytest.raises(ValueError):
             ExpansionRecord.from_json(swapped)
         assert ExpansionRecord.from_json(obj).to_json() == obj
+
+    def test_stored_p_must_match_floor(self):
+        obj = expand(F(-3), FloorFunction.ruban(3), 5).to_json()
+        with pytest.raises(ValueError, match="stored p = 5"):
+            ExpansionRecord.from_json({**obj, "p": 5})

@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from padiccf.cli import main
+from padiccf.cli import (
+    _attach_negative_values,
+    _option_names,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -46,6 +51,25 @@ class TestExpand:
         assert (code1, err1) == (0, "")
         assert code2 == 0 and out1 == out2
         assert json.loads(out1)["alpha"] == alpha
+
+    @pytest.mark.parametrize("option", ["--alp", "--a"])
+    def test_negative_alpha_after_abbreviated_option(self, capsys, option):
+        base = ["expand", "--p", "3", "--floor", "ruban", "--max-terms", "8"]
+        code1, out1, err1 = run(capsys, *base, option, "-3/5")
+        code2, out2, _ = run(capsys, *base, "--alpha=-3/5")
+        assert (code1, err1) == (0, "")
+        assert code2 == 0 and out1 == out2
+
+    def test_only_unambiguous_abbreviations_take_negative_values(self):
+        options = _option_names(build_parser())
+        assert _attach_negative_values(["--alp", "-3/5"], options) == \
+            ["--alp=-3/5"]
+        # "--p" is an option of its own and a prefix of both --period and
+        # --preperiod; "--pe" names --period alone
+        assert _attach_negative_values(["--p", "-3/5"], options) == \
+            ["--p", "-3/5"]
+        assert _attach_negative_values(["--pe", "-3/5"], options) == \
+            ["--pe=-3/5"]
 
 
 class TestEval:

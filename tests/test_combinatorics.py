@@ -103,12 +103,6 @@ class TestWitnesses:
         assert result.witnesses == []
         assert all(e.ratio is None for e in result.profile)
 
-    def test_workers_deterministic(self):
-        prefix = word("thue_morse", 300)
-        a = detect("spade", prefix, F(1), workers=1)
-        b = detect("spade", prefix, F(1), workers=4)
-        assert a.to_json() == b.to_json()
-
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("generator,length", [

@@ -1,28 +1,40 @@
-"""Differential property tests: the linear identity battery and the
-one-reduction floors against slow reference implementations.
+"""Differential property tests: the fast exact paths against slow reference
+implementations.
 
 The oracles below are the straightforward definitions: the battery
 recomputes every valuation product and every tail round trip from scratch
-(quadratic in the record length), and the floors sum Hensel digits read
-off :func:`canonical_digits`.
+(quadratic in the record length), the floors sum Hensel digits read off
+:func:`canonical_digits`, the continuants run the three-term recurrence over
+``Fraction``, the observed growth constant is a binary search that re-powers
+every state at every probe, and ``floor_log_exact`` counts k upward.
 """
 
 from fractions import Fraction as F
 
-from hypothesis import assume, given, settings
+import math
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from padiccf.certify import (
+    GrowthBounds,
+    _approx_valuation,
+    floor_log_exact,
+    growth_bounds,
+)
 from padiccf.cf import (
+    ContinuantState,
     ExpansionRecord,
     IdentityCheck,
     IdentityReport,
     continuants,
     expand,
+    integer_continuants,
     tail_reconstruct,
     verify_identities,
 )
 from padiccf.floors import FloorFunction, browkin_floor, ruban_floor
-from padiccf.padic import canonical_digits, format_rational, vp
+from padiccf.padic import INFINITY, canonical_digits, format_rational, vp
 
 PRIMES = (3, 5, 7, 11)
 
@@ -158,6 +170,80 @@ def oracle_browkin(q, p):
     return total
 
 
+def oracle_continuants(word):
+    """The three-term recurrences over Fraction."""
+    out = []
+    A_pp, A_p = F(0), F(1)
+    B_pp, B_p = F(1), F(0)
+    for n, an in enumerate(word):
+        an = F(an)
+        A_n = an * A_p + A_pp
+        B_n = an * B_p + B_pp
+        out.append(ContinuantState(n, A_p, A_n, B_p, B_n))
+        A_pp, A_p = A_p, A_n
+        B_pp, B_p = B_p, B_n
+    return out
+
+
+def _ceil_isqrt(n):
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def oracle_growth_bounds(source, p=None, grid=1024):
+    """growth_bounds with the binary search over num that re-powers every
+    state at every probe."""
+    if isinstance(source, ExpansionRecord):
+        word = [F(a) for a in source.partial_quotients]
+        p = source.p
+    else:
+        word = [F(0)] + [F(a) for a in source]
+    states = oracle_continuants(word)[1:]
+    tops = [max(abs(s.A), abs(s.B)) for s in states]
+
+    def fits(num):
+        return all(t.numerator * grid ** s.index <= num ** s.index * t.denominator
+                   for s, t in zip(states, tops))
+
+    lo = grid
+    guess_log2 = max((t.numerator.bit_length() - t.denominator.bit_length())
+                     / s.index for s, t in zip(states, tops))
+    hi = max(lo + 1, int(2.0 ** min(guess_log2, 40.0) * grid) + 2)
+    while not fits(hi):
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    observed = F(lo, grid)
+
+    closed = None
+    T = None
+    if word[0] == 0:
+        T = max(abs(a) for a in word[1:])
+        m = T.numerator ** 2 + 4 * T.denominator ** 2
+        surd_ub = F(_ceil_isqrt(m * grid * grid), T.denominator * grid)
+        closed = min((T + surd_ub) / 2, T + 1)
+
+    acc = 0
+    exponent = F(0)
+    for i, a in enumerate(word[1:], start=1):
+        acc += -vp(a, p)
+        exponent = max(exponent, F(acc, i))
+    return GrowthBounds(observed, closed, T, exponent, (1, states[-1].index))
+
+
+def oracle_floor_log_exact(p, C, t):
+    C, t = F(C), F(t)
+    tn, td = t.numerator, t.denominator
+    k = 0
+    while p ** ((k + 1) * td) * C.denominator ** tn <= C.numerator ** tn:
+        k += 1
+    return k
+
+
 # -- strategies ---------------------------------------------------------------
 
 
@@ -195,6 +281,15 @@ def records(draw):
     rec = expand(alpha, floor, draw(st.integers(2, 40)))
     assume(len(rec.partial_quotients) >= 2)
     return rec
+
+
+@st.composite
+def letter_lists(draw, max_size=30):
+    """Nonzero rational letters of either sign, most of them outside Z[1/p]."""
+    num = st.integers(-10**4, 10**4).filter(bool)
+    den = st.sampled_from((1, 2, 3, 5, 7, 9, 25, 27, 49, 121, 1000))
+    return draw(st.lists(st.builds(F, num, den), min_size=1,
+                         max_size=max_size))
 
 
 def outcome(battery, rec):
@@ -252,3 +347,70 @@ def test_floors_vanish_on_p_z_p():
         for q in (F(0), F(p), F(-2 * p, 13), F(p * p, 4)):
             assert ruban_floor(q, p) == oracle_ruban(q, p) == 0
             assert browkin_floor(q, p) == oracle_browkin(q, p) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(letter_lists(), records().map(lambda r: r.partial_quotients)))
+def test_integer_core_matches_fraction_recurrence(word):
+    Ah, Bh, D = integer_continuants(word)
+    assert len(Ah) == len(Bh) == len(D) == len(word)
+    for n, want in enumerate(oracle_continuants(word)):
+        assert (F(Ah[n], D[n]), F(Bh[n], D[n])) == (want.A, want.B)
+    assert continuants(word) == oracle_continuants(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter_lists(), st.sampled_from(PRIMES), st.sampled_from((1, 7, 1024)))
+@example([F(8, 3)] * 8, 3, 1024)
+@example([F(1, 2)] * 5, 3, 7)
+@example([F(-10**4, 7), F(10**4)], 5, 1)
+def test_growth_bounds_match_binary_search(letters, p, grid):
+    assert growth_bounds(letters, p=p, grid=grid).to_json() == \
+        oracle_growth_bounds(letters, p=p, grid=grid).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(records(), st.sampled_from((1, 7, 1024)))
+def test_growth_bounds_match_binary_search_on_records(rec, grid):
+    # records include a_0 != 0 and custom floors
+    assert growth_bounds(rec, grid=grid).to_json() == \
+        oracle_growth_bounds(rec, grid=grid).to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(letter_lists(), records().map(lambda r: r.partial_quotients)),
+       st.sampled_from(PRIMES))
+def test_spot_check_valuation_matches_fraction_form(word, p):
+    states = oracle_continuants(word)
+    assume(states[-1].B != 0)
+    x_full = states[-1].A / states[-1].B
+    core = integer_continuants(word)
+    for s in states:
+        want = vp(s.B * x_full - s.A, p)
+        got = _approx_valuation(core, s.index, p)
+        assert got == want
+        assert (got is INFINITY) == (want is INFINITY)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(PRIMES + (13, 101)),
+       st.builds(F, st.integers(2, 10**6), st.integers(1, 10**3)),
+       st.builds(F, st.integers(1, 40), st.integers(1, 6)))
+def test_floor_log_exact_matches_counting(p, C, t):
+    assume(C > 1)
+    assert floor_log_exact(p, C, t) == oracle_floor_log_exact(p, C, t)
+
+
+def test_floor_log_exact_at_exact_ties():
+    # p^k = C^t exactly, where the floor is k itself
+    for p in PRIMES:
+        for j in range(1, 6):
+            for t in (F(1), F(2), F(3), F(1, 2), F(3, 4), F(j, 7)):
+                C = F(p) ** j
+                assert floor_log_exact(p, C, t) == \
+                    oracle_floor_log_exact(p, C, t)
+            # C^t = p^j with rational exponent: C = p^2, t = j/2
+            assert floor_log_exact(p, F(p * p), F(j, 2)) == j
+            # just above and below the tie
+            assert floor_log_exact(p, F(p ** j * 1000 + 1, 1000), 1) == j
+            assert floor_log_exact(p, F(p ** j * 1000 - 1, 1000), 1) == j - 1
