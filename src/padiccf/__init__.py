@@ -38,10 +38,10 @@ from .combinatorics import (
     scan_special_prefixes,
     spade_constant_from_complexity,
 )
+# the certify() function is not re-exported: padiccf.certify is the module
 from .certify import (
     Certificate,
     GrowthBounds,
-    certify,
     check_corollary,
     growth_bounds,
     required_k,

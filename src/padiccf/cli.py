@@ -35,13 +35,23 @@ def _load_floor(args) -> FloorFunction:
             raise ValueError("--p is required with a built-in floor")
         return FloorFunction(name, args.p)
     with open(name, encoding="utf-8") as fh:
-        return FloorFunction.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return FloorFunction.from_json(obj)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed floor spec: {exc}") from exc
 
 
 def _load_word(args) -> WordSpec:
     if getattr(args, "word", None):
         with open(args.word, encoding="utf-8") as fh:
-            return WordSpec.from_json(json.load(fh))
+            obj = json.load(fh)
+        try:
+            spec = WordSpec.from_json(obj)
+            spec.stream()  # builds the generator, so bad params show here
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed word spec: {exc}") from exc
+        return spec
     if not getattr(args, "gen", None):
         raise ValueError("one of --word or --gen is required")
     amap = None

@@ -8,9 +8,10 @@ is evidence about the infinite word, never proof: unboundedness of u and
 non-ultimate-periodicity live beyond any prefix.
 
 Two interchangeable search backends exist: a direct-comparison reference
-that walks candidate pairs in tie-break order, and a rolling-hash backend
-whose winning candidates are re-verified by direct comparison so collisions
-cannot leak into results.  Both return identical profiles.
+that walks candidate pairs in tie-break order, and an indexed backend that
+groups the positions of each block by its exact name (a slice of one string
+with a character per distinct symbol), so an index hit is a match and needs
+no re-check.  Both return identical profiles.
 """
 
 from __future__ import annotations
@@ -163,68 +164,37 @@ def _best_pair_naive(kind, seq, u, c_max):
     return None
 
 
-class _Hashes:
-    """Polynomial rolling hashes mod 2^61 - 1 of a sequence and its reversal."""
-
-    MOD = (1 << 61) - 1
-    BASE = 131_075_939
-
-    def __init__(self, seq):
-        ids = {}
-        data = [ids.setdefault(x, len(ids) + 1) for x in seq]
-        self.n = len(data)
-        self._pw = [1] * (self.n + 1)
-        self._fwd = [0] * (self.n + 1)
-        self._rev = [0] * (self.n + 1)
-        for i in range(self.n):
-            self._pw[i + 1] = self._pw[i] * self.BASE % self.MOD
-            self._fwd[i + 1] = (self._fwd[i] * self.BASE + data[i]) % self.MOD
-            self._rev[i + 1] = (self._rev[i] * self.BASE
-                                + data[self.n - 1 - i]) % self.MOD
-
-    def fwd(self, start: int, length: int) -> int:
-        # hash of seq[start : start+length], 0-indexed
-        return (self._fwd[start + length]
-                - self._fwd[start] * self._pw[length]) % self.MOD
-
-    def rev(self, start: int, length: int) -> int:
-        # hash of reversed(seq[start : start+length])
-        rs = self.n - start - length
-        return (self._rev[rs + length]
-                - self._rev[rs] * self._pw[length]) % self.MOD
+def _text(seq) -> str:
+    # one character per distinct symbol (by ==/hash): s[j:j+u] names block j
+    ids = {}
+    return "".join(chr(ids.setdefault(x, len(ids))) for x in seq)
 
 
-def _best_pair_hashed(kind, seq, u, c_max, hashes: _Hashes):
-    L = len(seq)
+def _best_pair_hashed(kind, s, r, u, c_max):
+    L = len(s)
     cap = _wmax(c_max, u)
     i_hi = min(cap, L - 2 * u)  # i = w, 0-indexed left-block start
     if i_hi < 0:
         return None
     j_hi_all = min(L - u, i_hi + u + cap)
-    groups: Dict[int, List[int]] = {}
+    groups: Dict[str, List[int]] = {}
     for j in range(u, j_hi_all + 1):
-        groups.setdefault(hashes.fwd(j, u), []).append(j)
+        groups.setdefault(s[j:j + u], []).append(j)
     # candidates compare by (max(w, v), w, v): u is fixed, so this is the
     # order of (max(w, v)/u, w, v)
     best = None
     for i in range(i_hi + 1):
         if best is not None and best[0] <= i:
             break  # later i cannot beat the current minimum
-        h = hashes.fwd(i, u) if kind == "spade" else hashes.rev(i, u)
-        js = groups.get(h)
+        js = groups.get(s[i:i + u] if kind == "spade" else r[L - i - u:L - i])
         if not js:
             continue
-        lo, hi = i + u, min(i + u + cap, L - u)
-        k = bisect_left(js, lo)
-        while k < len(js) and js[k] <= hi:
-            j = js[k]
-            w, v = i, j - i - u
-            if check_witness(kind, seq, w, u, v):  # kill hash collisions
-                cand = (max(w, v), w, v)
-                if best is None or cand < best:
-                    best = cand
-                break
-            k += 1
+        k = bisect_left(js, i + u)
+        if k < len(js) and js[k] <= i + u + cap:  # every j is <= L - u
+            w, v = i, js[k] - i - u  # the first j >= i+u gives the least v
+            cand = (max(w, v), w, v)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         return None
     return best[1], best[2]
@@ -250,12 +220,14 @@ def detect(kind: str, prefix: Sequence, c_max: Rational,
         raise ValueError(f"unknown method {method!r}")
     seq = tuple(prefix)
     L = len(seq)
-    hashes = _Hashes(seq) if method == "hashed" else None
+    if method == "hashed":
+        s = _text(seq)
+        r = s[::-1]
 
     profile, witnesses = [], []
     for u in range(1, L // 2 + 1):
-        if hashes is not None:
-            pair = _best_pair_hashed(kind, seq, u, c_max, hashes)
+        if method == "hashed":
+            pair = _best_pair_hashed(kind, s, r, u, c_max)
         else:
             pair = _best_pair_naive(kind, seq, u, c_max)
         if pair is None:
@@ -308,26 +280,15 @@ def scan_special_prefixes(prefix: Sequence) -> PrefixScan:
     """Longest square prefix, longest palindromic prefix, and all
     (preperiod, period) pairs with period <= |prefix|/3 that describe the
     whole prefix with at least two full periods visible."""
-    seq = tuple(prefix)
-    L = len(seq)
-    z = zarray(seq)
+    s = _text(prefix)
+    L = len(s)
+    r = s[::-1]
+    z = zarray(s)
     square_u = max((u for u in range(1, L // 2 + 1) if z[u] >= u), default=0)
-
-    hashes = _Hashes(seq)
-    pal = 0
-    for m in range(L, 0, -1):
-        # hash filter is O(1); the direct check only runs on hits
-        if hashes.fwd(0, m) == hashes.rev(0, m) and seq[:m] == seq[m - 1::-1]:
-            pal = m
-            break
-
-    candidates = []
-    for q in range(1, L // 3 + 1):
-        r = 0
-        for i in range(L - q - 1, -1, -1):  # rightmost mismatch, early exit
-            if seq[i] != seq[i + q]:
-                r = i + 1
-                break
-        if r + 2 * q <= L:
-            candidates.append((r, q))
+    pal = next((m for m in range(L, 0, -1) if s[:m] == r[L - m:]), 0)
+    # the least preperiod for period q is L - q - zrev[q] (zrev[q] matching
+    # letters run back from the end); two full periods need zrev[q] >= q
+    zrev = zarray(r)
+    candidates = [(L - q - zrev[q], q) for q in range(1, L // 3 + 1)
+                  if zrev[q] >= q]
     return PrefixScan(square_u, pal, candidates)

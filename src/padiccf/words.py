@@ -441,7 +441,7 @@ class LetterStream:
         if require_partial_quotients:
             if p is None:
                 raise ValueError("p required for partial-quotient validation")
-            for v in out:
+            for v in dict.fromkeys(out):  # distinct values, in first-seen order
                 if v == 0 or not (vp(v, p) <= -1):
                     raise ValueError(
                         f"value {format_rational(v)} is not a valid partial "

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -209,3 +210,12 @@ class TestCertify:
         spec = WordSpec("periodic", {"period": ["8/3"]})
         with pytest.raises(ValueError):
             certify(5, self.RUBAN3, spec.stream(), 32)
+
+
+def test_package_attribute_is_the_certify_module():
+    import padiccf
+    import padiccf.certify as module
+
+    assert module is sys.modules["padiccf.certify"]
+    assert padiccf.certify is module
+    assert callable(module.certify) and callable(module._ceil_root)

@@ -261,6 +261,35 @@ class TestUsageErrors:
         code, _, err = run(capsys, "word", "--length", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"generator": "periodic", "params": {"period": 5}},
+        [1, 2],
+        {"generator": "explicit", "params": {"letters": "ab"},
+         "alphabet_map": {"a": 3}},
+        {"generator": "sturmian", "params": {"slope": {"a": 1}}},
+    ])
+    def test_malformed_word_spec_exits_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "detect", "--kind", "spade", "--word",
+                             str(path), "--length", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed word spec: ")
+
+    @pytest.mark.parametrize("spec", [
+        [3],
+        {"kind": "custom", "p": 3, "remap": [1]},
+        {"kind": "custom", "p": 3, "remap": [{"class": 1, "rep": "1"}]},
+        {"kind": "custom", "p": [3]},
+    ])
+    def test_malformed_floor_spec_exits_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "expand", "--floor", str(path),
+                             "--alpha", "1/3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed floor spec: ")
+
     def test_invariant_violation_exits_3_with_report(self, capsys, monkeypatch):
         import padiccf.cli as cli_mod
 

@@ -6,7 +6,9 @@ recomputes every valuation product and every tail round trip from scratch
 (quadratic in the record length), the floors sum Hensel digits read off
 :func:`canonical_digits`, the continuants run the three-term recurrence over
 ``Fraction``, the observed growth constant is a binary search that re-powers
-every state at every probe, and ``floor_log_exact`` counts k upward.
+every state at every probe, and ``floor_log_exact`` counts k upward.  The
+indexed detector is compared with the naive one, and the prefix scans with
+direct square and palindrome checks and a right-to-left period loop.
 """
 
 from fractions import Fraction as F
@@ -22,6 +24,7 @@ from padiccf.certify import (
     floor_log_exact,
     growth_bounds,
 )
+from padiccf.combinatorics import PrefixScan, detect, scan_special_prefixes
 from padiccf.cf import (
     ContinuantState,
     ExpansionRecord,
@@ -247,6 +250,27 @@ def oracle_floor_log_exact(p, C, t):
 # -- strategies ---------------------------------------------------------------
 
 
+def oracle_scan_special_prefixes(prefix) -> PrefixScan:
+    """Square and palindrome checks on every length, and for each period q
+    the preperiod read off the rightmost mismatch, O(L^2)."""
+    seq = tuple(prefix)
+    L = len(seq)
+    square_u = max((u for u in range(1, L // 2 + 1)
+                    if seq[:u] == seq[u:2 * u]), default=0)
+    pal = max((m for m in range(1, L + 1) if seq[:m] == seq[:m][::-1]),
+              default=0)
+    candidates = []
+    for q in range(1, L // 3 + 1):
+        r = 0
+        for i in range(L - q - 1, -1, -1):
+            if seq[i] != seq[i + q]:
+                r = i + 1
+                break
+        if r + 2 * q <= L:
+            candidates.append((r, q))
+    return PrefixScan(square_u, pal, candidates)
+
+
 @st.composite
 def rationals(draw, p, lo=-4, hi=3):
     """Rationals of every valuation in [lo, hi], and 0."""
@@ -290,6 +314,23 @@ def letter_lists(draw, max_size=30):
     den = st.sampled_from((1, 2, 3, 5, 7, 9, 25, 27, 49, 121, 1000))
     return draw(st.lists(st.builds(F, num, den), min_size=1,
                          max_size=max_size))
+
+
+# 1 == 1.0 == True: one symbol, as both detectors and the scans must see it
+ALPHABETS = ([0, 1], ["a", "b", "c"], [1, 1.0, True, "a", (1, 2), (1,)],
+             [1, 1.0, True], list(range(5)))
+
+
+@st.composite
+def words(draw, max_size=40):
+    """Random words, and periodic words after a random preperiod."""
+    alphabet = st.sampled_from(draw(st.sampled_from(ALPHABETS)))
+    if draw(st.booleans()):
+        return draw(st.lists(alphabet, max_size=max_size))
+    preperiod = draw(st.lists(alphabet, max_size=8))
+    period = draw(st.lists(alphabet, min_size=1, max_size=6))
+    size = draw(st.integers(0, max_size))
+    return (preperiod + period * max_size)[:size]
 
 
 def outcome(battery, rec):
@@ -414,3 +455,25 @@ def test_floor_log_exact_at_exact_ties():
             # just above and below the tie
             assert floor_log_exact(p, F(p ** j * 1000 + 1, 1000), 1) == j
             assert floor_log_exact(p, F(p ** j * 1000 - 1, 1000), 1) == j - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(words(), st.sampled_from(("spade", "club")),
+       st.fractions(min_value=0, max_value=4, max_denominator=6))
+@example([1, 1.0, True, 1], "spade", F(0))
+@example(["a", (1, 2), (1, 2), "a"], "club", F(0))
+def test_indexed_detector_matches_naive(word, kind, c_max):
+    assume(word)
+    fast = detect(kind, word, c_max, method="hashed")
+    slow = detect(kind, word, c_max, method="naive")
+    assert fast.to_json() == slow.to_json()
+
+
+@settings(max_examples=400, deadline=None)
+@given(words())
+@example([])
+@example([1, 1.0, True])
+@example(["a", "b", "a", "b", "a", "b", "b"])
+def test_prefix_scan_matches_oracle(word):
+    assert (scan_special_prefixes(word).to_json()
+            == oracle_scan_special_prefixes(word).to_json())

@@ -190,6 +190,24 @@ class TestAlphabetMaps:
         with pytest.raises(ValueError, match="partial"):
             spec.stream().values(2, p=3, require_partial_quotients=True)
 
+    @pytest.mark.parametrize("letters, bad", [
+        (["8/3", "5/3", "8/3", "2", "0", "2"], "2"),
+        (["8/3", "0", "5/3", "2", "0"], "0"),
+    ])
+    def test_partial_quotient_mode_names_first_bad_value(self, letters, bad):
+        spec = WordSpec("explicit", {"letters": letters})
+        with pytest.raises(ValueError, match=f"^value {bad} is not"):
+            spec.stream().values(len(letters), p=3,
+                                 require_partial_quotients=True)
+
+    def test_partial_quotient_mode_checks_each_value_once(self, monkeypatch):
+        import padiccf.words as words
+        calls = []
+        monkeypatch.setattr(words, "vp", lambda v, p: calls.append(v) or -1)
+        spec = WordSpec("thue_morse", {}, {"a": F(8, 3), "b": F(5, 3)})
+        spec.stream().values(512, p=3, require_partial_quotients=True)
+        assert calls == [F(8, 3), F(5, 3)]
+
     def test_partial_quotient_mode_accepts_valid(self):
         spec = WordSpec("thue_morse", {}, {"a": F(8, 3), "b": F(5, 3)})
         vals = spec.stream().values(8, p=3, require_partial_quotients=True)
