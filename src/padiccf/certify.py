@@ -430,13 +430,14 @@ def certify(p: int, floor: FloorFunction, stream: LetterStream, length: int,
         raise ValueError("prefix length must be >= 16")
     if floor.p != p:
         raise ValueError("floor function and certificate disagree on p")
-    values = stream.values(length, p=p, require_partial_quotients=True)
+    symbols = stream.prefix(length)
+    values = stream.values(length, p=p, require_partial_quotients=True,
+                           symbols=symbols)
     for v in sorted(set(values)):
         if floor.apply(v) != v:
             raise ValueError(
                 f"letter {format_rational(v)} is not fixed by the floor "
                 f"function: s(letter) = {format_rational(floor.apply(v))}")
-    symbols = stream.prefix(length)
 
     kinds = [condition_hint] if condition_hint else ["spade", "club"]
     c_cap = Fraction(c_hint) if c_hint is not None else Fraction(c_max)

@@ -125,7 +125,12 @@ def _cmd_complexity(args):
     prefix = spec.stream().prefix(_cap_length(args))
     if ":" in args.n:
         lo, hi = (int(x) for x in args.n.split(":"))
-        ns = list(range(lo, hi + 1))
+        ns = range(lo, hi + 1)
+        # check the range before walking it: the first bad n is lo or L + 1
+        L = len(prefix)
+        for n in (lo, L + 1):
+            if n in ns and not 1 <= n <= L:
+                raise ValueError(f"need 1 <= n <= |prefix|, got n={n}, L={L}")
     else:
         ns = [int(args.n)]
     counts = [{"n": n, "count": comb.complexity(prefix, n)} for n in ns]

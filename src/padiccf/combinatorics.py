@@ -8,18 +8,23 @@ is evidence about the infinite word, never proof: unboundedness of u and
 non-ultimate-periodicity live beyond any prefix.
 
 Two interchangeable search backends exist: a direct-comparison reference
-that walks candidate pairs in tie-break order, and an indexed backend that
-groups the positions of each block by its exact name (a slice of one string
-with a character per distinct symbol), so an index hit is a match and needs
-no re-check.  Both return identical profiles.
+that walks candidate pairs in tie-break order, and an indexed backend.  The
+indexed one first compares the least pair (w, v) = (0, 0) directly, then asks
+one Karp-Miller-Rosenberg index, shared by every u and both kinds: blocks of
+length 2^k in the prefix and in its reversal get exact integer names, and
+each name keeps the bitmask of its start positions, so the occurrences of a
+block of length u in [2^k, 2^(k+1)) are the AND of its two halves' masks.
+An index hit is a match and needs no re-check.  Once c_max*u >= L - 2u,
+every pair that fits is admissible, so the first u with no witness ends the
+search: any longer witness would cut down to one at u.  Both backends return
+identical profiles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .padic import Rational
 
@@ -141,7 +146,7 @@ def check_witness(kind: str, prefix: Sequence, w: int, u: int, v: int) -> bool:
 
 def _wmax(c_max: Fraction, u: int) -> int:
     # the largest admissible w (equally v): w/u <= c_max
-    return int(c_max * u)  # Fraction floors toward zero; c_max >= 0
+    return c_max.numerator * u // c_max.denominator
 
 
 def _tie_break_pairs(m: int):
@@ -170,34 +175,60 @@ def _text(seq) -> str:
     return "".join(chr(ids.setdefault(x, len(ids))) for x in seq)
 
 
-def _best_pair_hashed(kind, s, r, u, c_max):
-    L = len(s)
-    cap = _wmax(c_max, u)
-    i_hi = min(cap, L - 2 * u)  # i = w, 0-indexed left-block start
-    if i_hi < 0:
-        return None
-    j_hi_all = min(L - u, i_hi + u + cap)
-    groups: Dict[str, List[int]] = {}
-    for j in range(u, j_hi_all + 1):
-        groups.setdefault(s[j:j + u], []).append(j)
+class _BlockIndex:
+    """Karp-Miller-Rosenberg names of the blocks of one power-of-two length.
+
+    At `size` = 2^k, ns[j] names s[j:j+size] and nr[j] names r[j:j+size]
+    (r = s[::-1]) in one name space, and occ[x] is the bitmask of the
+    positions in s where the block named x starts.  A block of any length u
+    with size <= u < 2*size is then named exactly by the names of its two
+    overlapping halves.  Only the current level is kept.
+    """
+
+    def __init__(self, s: str, r: str):
+        self.L = len(s)
+        self.size = 1
+        self.ns = [ord(x) for x in s]
+        self.nr = [ord(x) for x in r]
+        self.occ = self._masks(max(self.ns) + 1)
+
+    def _masks(self, count: int) -> List[int]:
+        occ = [0] * count  # a name only r has keeps an empty mask
+        for j, x in enumerate(self.ns):
+            occ[x] |= 1 << j
+        return occ
+
+    def reach(self, u: int) -> None:
+        """Advance to the level with size <= u < 2*size."""
+        while 2 * self.size <= u:
+            h, ids = self.size, {}
+            self.ns = [ids.setdefault(ab, len(ids))
+                       for ab in zip(self.ns, self.ns[h:])]
+            self.nr = [ids.setdefault(ab, len(ids))
+                       for ab in zip(self.nr, self.nr[h:])]
+            self.size = 2 * h
+            self.occ = self._masks(len(ids))
+
+
+def _best_pair_hashed(kind, index, u, cap):
+    L = index.L
+    index.reach(u)
+    d = u - index.size  # the halves of a length-u block start at a and a+d
+    names, occ = (index.ns if kind == "spade" else index.nr), index.occ
     # candidates compare by (max(w, v), w, v): u is fixed, so this is the
     # order of (max(w, v)/u, w, v)
     best = None
-    for i in range(i_hi + 1):
+    for i in range(min(cap, L - 2 * u) + 1):  # i = w, the left block's start
         if best is not None and best[0] <= i:
             break  # later i cannot beat the current minimum
-        js = groups.get(s[i:i + u] if kind == "spade" else r[L - i - u:L - i])
-        if not js:
-            continue
-        k = bisect_left(js, i + u)
-        if k < len(js) and js[k] <= i + u + cap:  # every j is <= L - u
-            w, v = i, js[k] - i - u  # the first j >= i+u gives the least v
-            cand = (max(w, v), w, v)
-            if best is None or cand < best:
+        a = i if kind == "spade" else L - i - u  # the block to find, in s or r
+        js = (occ[names[a]] & (occ[names[a + d]] >> d)) >> (i + u)
+        if js:  # the lowest bit is the first j >= i+u, which gives the least v
+            v = (js & -js).bit_length() - 1
+            cand = (max(i, v), i, v)
+            if v <= cap and (best is None or cand < best):
                 best = cand
-    if best is None:
-        return None
-    return best[1], best[2]
+    return None if best is None else best[1:]
 
 
 def detect(kind: str, prefix: Sequence, c_max: Rational,
@@ -223,13 +254,28 @@ def detect(kind: str, prefix: Sequence, c_max: Rational,
     if method == "hashed":
         s = _text(seq)
         r = s[::-1]
+        index = None  # built on the first u that needs more than (0, 0)
 
     profile, witnesses = [], []
     for u in range(1, L // 2 + 1):
-        if method == "hashed":
-            pair = _best_pair_hashed(kind, s, r, u, c_max)
-        else:
+        if method == "naive":
             pair = _best_pair_naive(kind, seq, u, c_max)
+        elif s[u:2 * u] == (s[:u] if kind == "spade" else r[L - u:]):
+            pair = (0, 0)  # the least key
+        else:
+            cap = _wmax(c_max, u)
+            if cap:
+                if index is None:
+                    index = _BlockIndex(s, r)
+                pair = _best_pair_hashed(kind, index, u, cap)
+            else:
+                pair = None
+            if pair is None and cap >= L - 2 * u:
+                # every pair that fits is admissible from here on, and a
+                # witness at u' > u would cut down to one at u: none is left
+                profile += [CProfileEntry(x, None, None)
+                            for x in range(u, L // 2 + 1)]
+                break
         if pair is None:
             profile.append(CProfileEntry(u, None, None))
             continue

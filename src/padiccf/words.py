@@ -421,8 +421,7 @@ class LetterStream:
             raise ValueError("length must be >= 0")
         return [self.letter(n) for n in range(1, length + 1)]
 
-    def value(self, n: int) -> Fraction:
-        sym = self.letter(n)
+    def _symbol_value(self, sym: str) -> Fraction:
         if self.spec.alphabet_map is not None:
             try:
                 return Fraction(self.spec.alphabet_map[sym])
@@ -430,20 +429,32 @@ class LetterStream:
                 raise ValueError(f"symbol {sym!r} missing from alphabet_map")
         return parse_rational(sym)
 
+    def value(self, n: int) -> Fraction:
+        return self._symbol_value(self.letter(n))
+
     def values(self, length: int, p: Optional[int] = None,
-               require_partial_quotients: bool = False) -> List[Fraction]:
+               require_partial_quotients: bool = False,
+               symbols: Optional[Sequence[str]] = None) -> List[Fraction]:
         """Mapped values of the first `length` letters.
 
         With require_partial_quotients, every value must satisfy |v|_p > 1
         so the word can serve as the tail a_1 a_2 ... of an expansion.
+        A caller that already holds prefix(length) passes it as `symbols`,
+        so the word is generated once.
         """
-        out = [self.value(n) for n in range(1, length + 1)]
+        if symbols is None:
+            symbols = self.prefix(length)
+        elif len(symbols) != length:
+            raise ValueError(f"got {len(symbols)} symbols for length {length}")
+        # one value per distinct symbol, in first-seen order, so the first
+        # missing symbol and the first bad value are reported by position
+        table = {sym: self._symbol_value(sym) for sym in dict.fromkeys(symbols)}
         if require_partial_quotients:
             if p is None:
                 raise ValueError("p required for partial-quotient validation")
-            for v in dict.fromkeys(out):  # distinct values, in first-seen order
+            for v in dict.fromkeys(table.values()):
                 if v == 0 or not (vp(v, p) <= -1):
                     raise ValueError(
                         f"value {format_rational(v)} is not a valid partial "
                         f"quotient: |.|_{p} <= 1")
-        return out
+        return [table[sym] for sym in symbols]

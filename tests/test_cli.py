@@ -126,6 +126,15 @@ class TestComplexity:
         counts = [c["count"] for c in json.loads(out)["complexity"]]
         assert counts == [2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("n, bad", [("3:10", 9), ("0:5", 0),
+                                        ("2:10000000000000", 9),
+                                        ("12:10000000000000", 12)])
+    def test_range_checked_before_it_is_built(self, capsys, n, bad):
+        code, out, err = run(capsys, "complexity", "--gen", "fibonacci",
+                             "--length", "8", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: need 1 <= n <= |prefix|, got n={bad}, L=8\n"
+
 
 class TestDetect:
     def test_fibonacci_squares(self, capsys):

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,7 @@ from padiccf.cf import (
 )
 from padiccf.floors import FloorFunction, browkin_floor, ruban_floor
 from padiccf.padic import INFINITY, canonical_digits, format_rational, vp
+from padiccf.words import WordSpec
 
 PRIMES = (3, 5, 7, 11)
 
@@ -462,11 +464,30 @@ def test_floor_log_exact_at_exact_ties():
        st.fractions(min_value=0, max_value=4, max_denominator=6))
 @example([1, 1.0, True, 1], "spade", F(0))
 @example(["a", (1, 2), (1, 2), "a"], "club", F(0))
+# (w, v) = (0, 0) at some u, found without the block index
+@example(list("aaaaab"), "spade", F(2))
+@example(list("abbaab"), "club", F(2))
+# no witness at u = 2 once c_max*u >= L - 2u: the scan stops there
+@example(list("abcdefgh"), "spade", F(2))
+@example(list("abacde"), "club", F(2))
 def test_indexed_detector_matches_naive(word, kind, c_max):
     assume(word)
     fast = detect(kind, word, c_max, method="hashed")
     slow = detect(kind, word, c_max, method="naive")
     assert fast.to_json() == slow.to_json()
+
+
+@pytest.mark.parametrize("generator", ["thue_morse", "fibonacci",
+                                       "rudin_shapiro", "paperfolding"])
+def test_indexed_detector_matches_naive_on_automatic_words(generator):
+    # L = 160 takes the block index to 2^6 and, at c_max >= 1/2, past the
+    # u where c_max*u >= L - 2u
+    word = WordSpec(generator).stream().prefix(160)
+    for kind in ("spade", "club"):
+        for c_max in (F(0), F(1, 2), F(1), F(2)):
+            fast = detect(kind, word, c_max, method="hashed")
+            slow = detect(kind, word, c_max, method="naive")
+            assert fast.to_json() == slow.to_json(), (kind, c_max)
 
 
 @settings(max_examples=400, deadline=None)

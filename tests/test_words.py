@@ -222,6 +222,22 @@ class TestAlphabetMaps:
         with pytest.raises(ValueError, match="missing"):
             spec.stream().values(2)
 
+    def test_first_unmapped_symbol_by_position_is_named(self):
+        spec = WordSpec("explicit", {"letters": ["a", "y", "x", "a", "x"]},
+                        {"a": F(8, 3), "x": F(1, 3)})
+        with pytest.raises(ValueError, match="^symbol 'y' missing"):
+            spec.stream().values(5, p=3, require_partial_quotients=True)
+
+    def test_values_of_a_held_prefix(self):
+        stream = WordSpec("rudin_shapiro", {}, {"a": F(8, 3),
+                                                "b": F(5, 3)}).stream()
+        symbols = stream.prefix(64)
+        assert (stream.values(64, p=3, require_partial_quotients=True,
+                              symbols=symbols)
+                == stream.values(64) == [stream.value(n) for n in range(1, 65)])
+        with pytest.raises(ValueError, match="63 symbols for length 64"):
+            stream.values(64, symbols=symbols[:63])
+
     def test_json_round_trip(self):
         spec = WordSpec("thue_morse", {}, {"a": F(8, 3), "b": F(5, 3)})
         back = WordSpec.from_json(spec.to_json())
