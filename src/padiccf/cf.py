@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .floors import FloorFunction
@@ -144,7 +145,12 @@ def integer_continuants(
 
 def continuants(word: Sequence[Rational]) -> List[ContinuantState]:
     """Continuant states for a_0..a_n with A_{-1}=1, A_0=a_0, B_{-1}=0, B_0=1,
-    read off the integer core."""
+    read off the integer core.
+
+    This is the public Fraction view of :func:`integer_continuants`; the
+    identity battery, tail round trips, quadratic certificates and mirror
+    laws all read the integer core directly.
+    """
     out = []
     A_p, B_p = Fraction(1), Fraction(0)
     for n, (a, b, d) in enumerate(zip(*integer_continuants(word))):
@@ -182,20 +188,34 @@ def tail_reconstruct(prefix: Sequence[Rational], gamma: Rational) -> Fraction:
     gamma itself.
     """
     gamma = Fraction(gamma)
-    states = continuants(prefix)
-    return _tail_value(states[-1] if states else None, gamma)
+    Ah, Bh, _ = integer_continuants(prefix)
+    d = Fraction(prefix[-1]).denominator if prefix else 1
+    return Fraction(*_tail_terms(Ah, Bh, len(prefix), d, gamma))
 
 
-def _tail_value(last: Optional[ContinuantState], gamma: Fraction) -> Fraction:
-    """tail_reconstruct from the state of the prefix's last letter (None if empty)."""
-    if last is None:
-        A1, A2, B1, B2 = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+def _tail_terms(Ah: List[int], Bh: List[int], k: int, d: int,
+                gamma: Fraction) -> Tuple[int, int]:
+    """Numerator and denominator of tail_reconstruct(a_0..a_{k-1}, gamma).
+
+    For gamma = g/h and d = d_{k-1}, the denominator of a_{k-1} (1 when
+    k = 0), both are scaled by D_{k-1}·h:
+
+        g·Â_{k-1} + h·d·Â_{k-2}  and  g·B̂_{k-1} + h·d·B̂_{k-2}
+
+    with Â_{-2}, Â_{-1} = 0, 1 and B̂_{-2}, B̂_{-1} = 1, 0.  Ah and Bh are
+    core lists covering at least a_0..a_{k-1}.  A zero denominator raises
+    DegenerateTailError.
+    """
+    A1, B1 = (Ah[k - 1], Bh[k - 1]) if k >= 1 else (1, 0)
+    if k >= 2:
+        A2, B2 = Ah[k - 2], Bh[k - 2]
     else:
-        A1, A2, B1, B2 = last.A, last.A_prev, last.B, last.B_prev
-    den = gamma * B1 + B2
+        A2, B2 = (1, 0) if k == 1 else (0, 1)
+    g, hd = gamma.numerator, gamma.denominator * d
+    den = g * B1 + hd * B2
     if den == 0:
         raise DegenerateTailError("gamma*B_{k-1} + B_{k-2} = 0")
-    return (gamma * A1 + A2) / den
+    return g * A1 + hd * A2, den
 
 
 # -- identity battery ---------------------------------------------------------
@@ -247,27 +267,39 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
     products (every extra factor is |a_0|_p), so tampered records are caught
     either way.
 
-    Linear in the record length: the continuants are computed once, every
-    valuation once, the products as prefix sums, and each tail round trip
-    reuses the continuant state of its prefix.
+    Every check reads the integer core of :func:`integer_continuants`: the
+    state at n is Â_n, d_n·Â_{n-1}, B̂_n, d_n·B̂_{n-1} over the scale D_n,
+    so each identity becomes an integer identity (the determinant law reads
+    Â_n·B̂_{n-1} - B̂_n·Â_{n-1} = (-1)^(n+1)·D_n·D_{n-1}, and vp(A_n) =
+    vp(Â_n) - vp(D_n)).  Linear in the record length: the core is computed
+    once, every valuation once, the products as prefix sums, and each tail
+    round trip is one cross-multiplication against alpha.
     """
     word = rec.partial_quotients
     if len(word) < 2:
         raise ValueError("need at least 2 partial quotients")
     p = rec.p
-    states = continuants(word)
-    vA = [vp(s.A, p) for s in states]
-    vB = [vp(s.B, p) for s in states]
+    Ah, Bh, D = integer_continuants(word)
     va = [vp(a, p) for a in word]
+    # vp(D_n): the letters are in lowest terms, so vp(d_i) = max(0, -vp(a_i))
+    vD = list(accumulate(max(0, -v) for v in va))
+    vA = [vp(a, p) - v for a, v in zip(Ah, vD)]
+    vB = [vp(b, p) - v for b, v in zip(Bh, vD)]
     # neg[n] = sum_{i=1..n} -vp(a_i), i.e. -log_p prod_{i=1..n} |a_i|_p
     neg = [0]
     for v in va[1:]:
         neg.append(neg[-1] - v)
     checks = []
 
-    # determinant: A_n B_{n-1} - B_n A_{n-1} = (-1)^(n+1)
-    bad = next((s.index for s in states
-                if s.determinant() != Fraction(-1) ** (s.index + 1)), None)
+    # determinant: A_n B_{n-1} - B_n A_{n-1} = (-1)^(n+1), scaled by
+    # D_n·D_{n-1} from Â_{-1} = 1, B̂_{-1} = 0, D_{-1} = 1
+    bad = None
+    a1, b1, D1 = 1, 0, 1
+    for n, (a, b, Dn) in enumerate(zip(Ah, Bh, D)):
+        if a * b1 - b * a1 != (Dn * D1 if n % 2 else -Dn * D1):
+            bad = n
+            break
+        a1, b1, D1 = a, b, Dn
     checks.append(IdentityCheck("determinant", bad is None,
                                 first_failed_index=bad))
 
@@ -305,19 +337,31 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
     checks.append(IdentityCheck("valuation-monotonicity", bad is None,
                                 first_failed_index=bad))
 
-    # vp(B_n*alpha - A_n) = sum_{j<=n+1} -vp(a_j), below termination
-    bad = next((s.index for s in states[:last]
-                if vp(s.B * rec.alpha - s.A, p) != neg[s.index + 1]), None)
-    if rec.terminated and states[last].B * rec.alpha - states[last].A != 0:
+    # vp(B_n*alpha - A_n) = sum_{j<=n+1} -vp(a_j), below termination, where
+    # B_n*alpha - A_n = (B̂_n*num - Â_n*den) / (den*D_n) for alpha = num/den
+    num, den = rec.alpha.numerator, rec.alpha.denominator
+    v_den = vp(den, p)
+    bad = next((n for n in range(last)
+                if vp(Bh[n] * num - Ah[n] * den, p) - v_den - vD[n]
+                != neg[n + 1]), None)
+    if rec.terminated and Bh[last] * num != Ah[last] * den:
         bad = last
     checks.append(IdentityCheck("approximation-valuation", bad is None,
                                 first_failed_index=bad))
 
-    # max(|A_n|, |B_n|) <= max(1, |a_0|) * (M+1)^n with M = max |a_i|
+    # max(|A_n|, |B_n|) <= max(1, |a_0|) * (M+1)^n with M = max |a_i|,
+    # scaled by D_n: max(|Â_n|, |B̂_n|)·s_d·M_d^n <= s_n·(M_n + M_d)^n·D_n
     M = max(abs(a) for a in word)
     scale = max(Fraction(1), abs(a0))
-    bad = next((s.index for s in states
-                if max(abs(s.A), abs(s.B)) > scale * (M + 1) ** s.index), None)
+    step_num = M.numerator + M.denominator
+    bound_num, bound_den = scale.numerator, scale.denominator
+    bad = None
+    for n, (a, b, Dn) in enumerate(zip(Ah, Bh, D)):
+        if max(abs(a), abs(b)) * bound_den > bound_num * Dn:
+            bad = n
+            break
+        bound_num *= step_num
+        bound_den *= M.denominator
     checks.append(IdentityCheck("archimedean-growth", bad is None,
                                 first_failed_index=bad,
                                 detail=f"M = {format_rational(M)}"))
@@ -334,7 +378,10 @@ def verify_identities(rec: ExpansionRecord) -> IdentityReport:
         if i + 1 < len(gammas) and gammas[i + 1] != 1 / (gi - ai):
             bad, detail = i, "gamma recurrence broken"
             break
-        if _tail_value(states[i - 1] if i else None, Fraction(gi)) != rec.alpha:
+        t_num, t_den = _tail_terms(Ah, Bh, i,
+                                   word[i - 1].denominator if i else 1,
+                                   Fraction(gi))
+        if t_num * den != t_den * num:
             bad, detail = i, "tail reconstruction misses alpha"
             break
     checks.append(IdentityCheck("record-consistency", bad is None,

@@ -80,16 +80,35 @@ def require_odd_prime(p: int) -> int:
 # -- valuations and norms ---------------------------------------------------
 
 def _vp_int(n: int, p: int) -> int:
-    # n != 0
+    """vp(n) for an integer n != 0, in O(log vp(n)) divisions.
+
+    Divide by p, p^2, p^4, ... while each power divides; what is left has
+    valuation below the first power that failed, so the same powers tried
+    downwards read off its binary digits.
+    """
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = []
+    pk = p
+    while True:
+        q, r = divmod(n, pk)
+        if r:
+            break
+        n = q
+        v += 1 << len(powers)
+        powers.append(pk)
+        pk *= pk
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            v += 1 << k
     return v
 
 
 def vp(q: Rational, p: int):
     """p-adic valuation of a rational; ``INFINITY`` for q = 0."""
+    if isinstance(q, int):
+        return _vp_int(q, p) if q else INFINITY
     q = Fraction(q)
     if q == 0:
         return INFINITY

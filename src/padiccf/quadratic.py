@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cf import continuants, eval_cf
+from .cf import eval_cf, integer_continuants
 from .floors import FloorFunction
 from .padic import INFINITY, Rational, format_rational, parse_rational, vp
 
@@ -79,6 +79,9 @@ def periodic_to_quadratic(preperiod: Sequence[Rational],
         a = B_{w-1} B_l - B_w B_{l-1}
         b = B_{w-1} A_l - B_w A_{l-1} + A_{w-1} B_l - A_w B_{l-1}
         c = A_{w-1} A_l - A_w A_{l-1}
+
+    read off the integer continuant core as integers over D_w·D_l, each
+    reduced once by Fraction.
     """
     preperiod = [Fraction(x) for x in preperiod]
     period = [Fraction(x) for x in period]
@@ -87,13 +90,15 @@ def periodic_to_quadratic(preperiod: Sequence[Rational],
     if not preperiod or preperiod[0] != 0:
         raise ValueError("preperiod must begin with 0")
     word = preperiod + period
-    states = continuants(word)
+    core = integer_continuants(word)
     w = len(preperiod) - 1
-    sw, sl = states[w], states[-1]
-    a = sw.B_prev * sl.B - sw.B * sl.B_prev
-    b = (sw.B_prev * sl.A - sw.B * sl.A_prev
-         + sw.A_prev * sl.B - sw.A * sl.B_prev)
-    c = sw.A_prev * sl.A - sw.A * sl.A_prev
+    # every continuant at w is over D_w and every one at l over D_l
+    Aw, Aw1, Bw, Bw1, Dw = _scaled_state(word, core, w)
+    Al, Al1, Bl, Bl1, Dl = _scaled_state(word, core, len(word) - 1)
+    scale = Dw * Dl
+    a = Fraction(Bw1 * Bl - Bw * Bl1, scale)
+    b = Fraction(Bw1 * Al - Bw * Al1 + Aw1 * Bl - Aw * Bl1, scale)
+    c = Fraction(Aw1 * Al - Aw * Al1, scale)
     return QuadraticCertificate(a, b, c, tuple(preperiod), tuple(period),
                                 degenerate=(a == 0 and b == 0 and c == 0))
 
@@ -178,12 +183,13 @@ def palindrome_symmetry(letters: Sequence[Rational], floor: FloorFunction):
                 f"letter {format_rational(x)} is not in Im(s) \\ {{0}} "
                 f"with |.|_p > 1")
     # product of (a_i 1; 1 0) = (B_m B_{m-1}; A_m A_{m-1}) for [0, a_1..a_m]
-    states = continuants([Fraction(0)] + letters)
-    last = states[-1]
-    symmetric = last.A == last.B_prev
+    word = [Fraction(0)] + letters
+    A, _, _, B1, D = _scaled_state(word, integer_continuants(word),
+                                   len(letters))
+    symmetric = A == B1
     witness = {
-        "A_m": format_rational(last.A),
-        "B_m_minus_1": format_rational(last.B_prev),
+        "A_m": format_rational(Fraction(A, D)),
+        "B_m_minus_1": format_rational(Fraction(B1, D)),
     }
     return symmetric, witness
 
@@ -200,18 +206,29 @@ def reversal_quotient(word: Sequence[Rational]) -> Fraction:
     word = [Fraction(x) for x in word]
     if len(word) < 2:
         raise ValueError("need n >= 1: a single letter has no B_{n-1}/B_n")
-    last = continuants(word)[-1]
+    n = len(word) - 1
+    A, A1, B, B1, _ = _scaled_state(word, integer_continuants(word), n)
     if word[0] == 0:
-        quotient = last.B_prev / last.B
+        quotient = Fraction(B1, B)
         mirrored = eval_cf([Fraction(0)] + word[:0:-1])
         if quotient != mirrored:
             raise AssertionError(f"mirror law violated: {quotient} != {mirrored}")
         return quotient
-    if last.B_prev == 0:
+    if B1 == 0:
         raise ValueError("B_{n-1} = 0: reversal quotient undefined")
-    quotient = last.B / last.B_prev
+    quotient = Fraction(B, B1)
     if quotient != eval_cf(word[:0:-1]):
         raise AssertionError("denominator mirror law violated")
-    if last.A_prev != 0 and last.A / last.A_prev != eval_cf(word[::-1]):
+    if A1 != 0 and Fraction(A, A1) != eval_cf(word[::-1]):
         raise AssertionError("numerator mirror law violated")
     return quotient
+
+
+def _scaled_state(word: Sequence[Fraction], core, n: int):
+    """(Â_n, d_n·Â_{n-1}, B̂_n, d_n·B̂_{n-1}, D_n) from the integer core of
+    word: A_n, A_{n-1}, B_n and B_{n-1} as integers over the one scale D_n,
+    with Â_{-1} = 1 and B̂_{-1} = 0."""
+    Ah, Bh, D = core
+    d = word[n].denominator
+    A1, B1 = (Ah[n - 1], Bh[n - 1]) if n else (1, 0)
+    return Ah[n], d * A1, Bh[n], d * B1, D[n]

@@ -9,7 +9,6 @@ word is used as partial quotients.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -198,15 +197,10 @@ def floor_linear_in_slope(slope: QuadraticSlope, n: int, beta: Fraction) -> int:
 # -- materialising generators --------------------------------------------------
 
 class _Materialized:
-    """Base for generators that grow an explicit prefix on demand.
-
-    The cache is guarded so concurrent readers observe a single deterministic
-    materialisation.
-    """
+    """Base for generators that grow an explicit prefix on demand."""
 
     def __init__(self):
         self._letters: List[str] = []
-        self._lock = threading.Lock()
 
     def _grow(self):
         raise NotImplementedError
@@ -214,13 +208,11 @@ class _Materialized:
     def letter(self, n: int) -> str:
         if n < 1:
             raise ValueError("letters are indexed from 1")
-        if n > len(self._letters):
-            with self._lock:
-                while n > len(self._letters):
-                    before = len(self._letters)
-                    self._grow()
-                    if len(self._letters) <= before:
-                        raise ValueError("generator exhausted")
+        while n > len(self._letters):
+            before = len(self._letters)
+            self._grow()
+            if len(self._letters) <= before:
+                raise ValueError("generator exhausted")
         return self._letters[n - 1]
 
 

@@ -1,14 +1,17 @@
 """Differential property tests: the fast exact paths against slow reference
 implementations.
 
-The oracles below are the straightforward definitions: the battery
-recomputes every valuation product and every tail round trip from scratch
-(quadratic in the record length), the floors sum Hensel digits read off
-:func:`canonical_digits`, the continuants run the three-term recurrence over
-``Fraction``, the observed growth constant is a binary search that re-powers
-every state at every probe, and ``floor_log_exact`` counts k upward.  The
-indexed detector is compared with the naive one, and the prefix scans with
-direct square and palindrome checks and a right-to-left period loop.
+The oracles below are the straightforward definitions: the continuants run
+the three-term recurrence over ``Fraction``, and the battery, tail round
+trips, quadratic coefficients and mirror laws read those ``Fraction``
+states, never the library's integer core; the battery recomputes every
+valuation product and every tail round trip from scratch (quadratic in the
+record length), the floors sum Hensel digits read off
+:func:`canonical_digits`, the observed growth constant is a binary search
+that re-powers every state at every probe, and ``floor_log_exact`` counts k
+upward.  The indexed detector is compared with the naive one, and the prefix
+scans with direct square and palindrome checks and a right-to-left period
+loop.
 """
 
 from fractions import Fraction as F
@@ -28,10 +31,12 @@ from padiccf.certify import (
 from padiccf.combinatorics import PrefixScan, detect, scan_special_prefixes
 from padiccf.cf import (
     ContinuantState,
+    DegenerateTailError,
     ExpansionRecord,
     IdentityCheck,
     IdentityReport,
     continuants,
+    eval_cf,
     expand,
     integer_continuants,
     tail_reconstruct,
@@ -39,6 +44,12 @@ from padiccf.cf import (
 )
 from padiccf.floors import FloorFunction, browkin_floor, ruban_floor
 from padiccf.padic import INFINITY, canonical_digits, format_rational, vp
+from padiccf.quadratic import (
+    QuadraticCertificate,
+    palindrome_symmetry,
+    periodic_to_quadratic,
+    reversal_quotient,
+)
 from padiccf.words import WordSpec
 
 PRIMES = (3, 5, 7, 11)
@@ -57,7 +68,7 @@ def oracle_verify_identities(rec: ExpansionRecord) -> IdentityReport:
     if len(word) < 2:
         raise ValueError("need at least 2 partial quotients")
     p = rec.p
-    states = continuants(word)
+    states = oracle_continuants(word)
     checks = []
 
     bad = next((s.index for s in states
@@ -141,7 +152,7 @@ def oracle_verify_identities(rec: ExpansionRecord) -> IdentityReport:
         if i + 1 < len(gammas) and gammas[i + 1] != 1 / (gi - ai):
             bad, detail = i, "gamma recurrence broken"
             break
-        if tail_reconstruct(word[:i], gi) != rec.alpha:
+        if oracle_tail_reconstruct(word[:i], gi) != rec.alpha:
             bad, detail = i, "tail reconstruction misses alpha"
             break
     checks.append(IdentityCheck("record-consistency", bad is None,
@@ -188,6 +199,61 @@ def oracle_continuants(word):
         A_pp, A_p = A_p, A_n
         B_pp, B_p = B_p, B_n
     return out
+
+
+def oracle_tail_reconstruct(prefix, gamma):
+    """(gamma*A_{k-1} + A_{k-2}) / (gamma*B_{k-1} + B_{k-2}) over Fraction."""
+    gamma = F(gamma)
+    states = oracle_continuants(prefix)
+    if states:
+        last = states[-1]
+        A1, A2, B1, B2 = last.A, last.A_prev, last.B, last.B_prev
+    else:
+        A1, A2, B1, B2 = F(1), F(0), F(0), F(1)
+    den = gamma * B1 + B2
+    if den == 0:
+        raise DegenerateTailError("gamma*B_{k-1} + B_{k-2} = 0")
+    return (gamma * A1 + A2) / den
+
+
+def oracle_periodic_to_quadratic(preperiod, period):
+    """The coefficients from the Fraction states at w and l."""
+    preperiod = [F(x) for x in preperiod]
+    period = [F(x) for x in period]
+    states = oracle_continuants(preperiod + period)
+    sw, sl = states[len(preperiod) - 1], states[-1]
+    a = sw.B_prev * sl.B - sw.B * sl.B_prev
+    b = (sw.B_prev * sl.A - sw.B * sl.A_prev
+         + sw.A_prev * sl.B - sw.A * sl.B_prev)
+    c = sw.A_prev * sl.A - sw.A * sl.A_prev
+    return QuadraticCertificate(a, b, c, tuple(preperiod), tuple(period),
+                                degenerate=(a == 0 and b == 0 and c == 0))
+
+
+def oracle_palindrome_symmetry(letters):
+    """A_m == B_{m-1} for [0, a_1..a_m], from the Fraction states."""
+    last = oracle_continuants([F(0)] + [F(x) for x in letters])[-1]
+    return last.A == last.B_prev, {
+        "A_m": format_rational(last.A),
+        "B_m_minus_1": format_rational(last.B_prev),
+    }
+
+
+def oracle_reversal_quotient(word):
+    """The mirror laws asserted on the Fraction states."""
+    word = [F(x) for x in word]
+    last = oracle_continuants(word)[-1]
+    if word[0] == 0:
+        quotient = last.B_prev / last.B
+        assert quotient == eval_cf([F(0)] + word[:0:-1])
+        return quotient
+    if last.B_prev == 0:
+        raise ValueError("B_{n-1} = 0: reversal quotient undefined")
+    quotient = last.B / last.B_prev
+    assert quotient == eval_cf(word[:0:-1])
+    if last.A_prev != 0:
+        assert last.A / last.A_prev == eval_cf(word[::-1])
+    return quotient
 
 
 def _ceil_isqrt(n):
@@ -340,6 +406,29 @@ def outcome(battery, rec):
         return "ok", battery(rec).to_json()
     except (ValueError, ZeroDivisionError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def value_or_error(fn, *args):
+    """fn's value, or the type of the exception it raised."""
+    try:
+        return "ok", fn(*args)
+    except (ArithmeticError, AssertionError, ValueError) as exc:
+        return "raised", type(exc)
+
+
+@st.composite
+def floor_letters(draw, floor, max_size=12):
+    """Letters s(q) with vp(q) <= -1: in Im(s) \\ {0} with |.|_p > 1."""
+    p = floor.p
+    unit = st.integers(-10**4, 10**4).filter(lambda m: m % p)
+    qs = st.builds(lambda m, n, k: floor.apply(F(m, n * p ** k)),
+                   unit, unit.map(abs), st.integers(1, 3))
+    half = draw(st.lists(qs, min_size=1, max_size=max_size))
+    shape = draw(st.sampled_from(("random", "even", "odd")))
+    if shape == "random":
+        return half
+    middle = [draw(qs)] if shape == "odd" else []
+    return half + middle + half[::-1]
 
 
 # -- properties ---------------------------------------------------------------
@@ -498,3 +587,63 @@ def test_indexed_detector_matches_naive_on_automatic_words(generator):
 def test_prefix_scan_matches_oracle(word):
     assert (scan_special_prefixes(word).to_json()
             == oracle_scan_special_prefixes(word).to_json())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-10**4, 10**4),
+                          st.sampled_from((1, 2, 3, 9, 25, 49))),
+                max_size=12),
+       letter_lists(max_size=8))
+@example([], [F(8, 3)])
+@example([F(5, 3), F(-1, 2)], [F(1, 3), F(4, 3), F(7, 9)])
+@example([F(2), F(-1, 2)], [F(3)])  # B_2 = 0 inside the preperiod
+def test_quadratic_certificate_matches_fraction_states(pre, period):
+    preperiod = [F(0)] + pre
+    assert (periodic_to_quadratic(preperiod, period).to_json()
+            == oracle_periodic_to_quadratic(preperiod, period).to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(("ruban", "browkin")),
+       st.data())
+def test_palindrome_symmetry_matches_fraction_states(p, kind, data):
+    floor = FloorFunction(kind, p)
+    letters = data.draw(floor_letters(floor))
+    got = palindrome_symmetry(letters, floor)
+    assert got == oracle_palindrome_symmetry(letters)
+    assert got[0] == (letters == letters[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter_lists(max_size=12), st.booleans())
+@example([F(1), F(2), F(-1, 2), F(3)], False)  # a_0 != 0 and B_{n-1} = 0
+@example([F(2), F(-1, 2)], True)  # a_0 = 0 and B_n = 0
+@example([F(2), F(-1, 2), F(5)], True)  # a_0 = 0 and B_{n-1} = 0
+@example([F(3), F(-1, 3), F(2)], False)  # A_{n-1} = 0
+def test_reversal_quotient_matches_fraction_states(letters, zero_a0):
+    word = [F(0)] + letters if zero_a0 or len(letters) < 2 else letters
+    assert (value_or_error(reversal_quotient, word)
+            == value_or_error(oracle_reversal_quotient, word))
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter_lists(max_size=12), st.booleans(), st.integers(0, 13),
+       st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 10**3)))
+@example([], False, 0, F(7, 3))  # the empty prefix returns gamma
+@example([], False, 0, F(0))
+@example([F(5)], False, 1, F(0))  # gamma*B_0 + B_{-1} = 0
+@example([F(3), F(2)], False, 2, F(-1, 2))  # gamma*B_1 + B_0 = 0
+@example([F(7, 5), F(5, 3)], True, 3, F(-21, 50))  # gamma*B_2 + B_1 = 0
+def test_tail_reconstruct_matches_fraction_states(letters, zero_a0, k, gamma):
+    prefix = ([F(0)] + letters if zero_a0 else letters)[:k]
+    assert (value_or_error(tail_reconstruct, prefix, gamma)
+            == value_or_error(oracle_tail_reconstruct, prefix, gamma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(records())
+def test_tail_reconstruct_round_trips(rec):
+    # alpha = tail_reconstruct(a_0..a_{i-1}, gamma_i) at every i
+    word = rec.partial_quotients
+    for i, gamma in enumerate(rec.complete_quotients):
+        assert tail_reconstruct(word[:i], gamma) == rec.alpha

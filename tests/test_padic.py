@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiccf.padic import (
     INFINITY,
@@ -18,6 +20,9 @@ from padiccf.padic import (
     vp,
     weil_height,
 )
+
+VP_PRIMES = st.sampled_from((3, 5, 7, 11, 101))
+UNITS = st.integers(1, 10**6)  # some carry p themselves
 
 
 def trial_division_vp(num, den, p):
@@ -59,6 +64,27 @@ class TestValuation:
                     assert vp(a + b, p) >= min(vp(a, p), vp(b, p))
                     if vp(a, p) != vp(b, p):
                         assert vp(a + b, p) == min(vp(a, p), vp(b, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(VP_PRIMES, UNITS, st.integers(0, 2000), st.booleans())
+    @example(3, 1, 0, False)
+    @example(3, 1, 1, True)
+    @example(101, 100, 2000, False)
+    @example(5, 5 ** 7, 1023, True)  # p^(1023 + 7) crosses a power of two
+    def test_log_step_matches_repeated_division(self, p, m, k, negative):
+        n = (-m if negative else m) * p ** k
+        assert vp(n, p) == trial_division_vp(n, 1, p)
+        assert vp(F(n), p) == vp(n, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(VP_PRIMES, UNITS, UNITS, st.integers(0, 2000), st.integers(0, 2000))
+    @example(7, 1, 1, 2000, 2000)
+    @example(11, 11, 121, 5, 3)
+    def test_log_step_on_fractions(self, p, m, n, k, j):
+        # numerator and denominator both carry p before Fraction reduces them
+        q = F(m * p ** k, n * p ** j)
+        assert vp(q, p) == trial_division_vp(m * p ** k, n * p ** j, p)
+        assert vp(-q, p) == vp(q, p)
 
     def test_abs_multiplicative(self):
         rng = random.Random(1)
